@@ -204,11 +204,11 @@ func BenchmarkAblationSummaryScaling(b *testing.B) {
 					}))
 				}
 				rack := core.NewShifting(fmt.Sprintf("rack%d", r), 0, leaves...)
-				summary, err := core.Summarize(rack, core.GlobalPriority)
+				engine, err := core.NewAllocator(rack)
 				if err != nil {
 					b.Fatal(err)
 				}
-				proxies = append(proxies, core.NewProxy(fmt.Sprintf("proxy%d", r), summary))
+				proxies = append(proxies, core.NewProxy(fmt.Sprintf("proxy%d", r), engine.Summarize(core.GlobalPriority)))
 			}
 			room := core.NewShifting("room", 0, proxies...)
 			budget := power.Watts(float64(40*serversPerRack) * 300)

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -66,6 +67,10 @@ func resolveClientCodec(name string) string {
 // requests per connection).
 type codec interface {
 	Name() string
+	// AwaitMessage blocks until the first byte of the next incoming
+	// message is buffered, so a decode timer started after it measures
+	// decoding rather than the wait for the peer.
+	AwaitMessage() error
 	WriteRequest(req *wireRequest) error
 	ReadRequest(req *wireRequest) error
 	WriteResponse(resp *wireResponse) error
@@ -77,15 +82,34 @@ type codec interface {
 // compatibility default; its byte stream is pinned by the wire-shape
 // tests.
 type jsonCodec struct {
+	r   *bufio.Reader
 	dec *json.Decoder
 	enc *json.Encoder
 }
 
 func newJSONCodec(r *bufio.Reader, w io.Writer) *jsonCodec {
-	return &jsonCodec{dec: json.NewDecoder(r), enc: json.NewEncoder(w)}
+	return &jsonCodec{r: r, dec: json.NewDecoder(r), enc: json.NewEncoder(w)}
 }
 
 func (c *jsonCodec) Name() string { return CodecJSON }
+
+// AwaitMessage implements codec. The decoder reads ahead of the message it
+// decodes, so when it already holds the start of the next message the
+// connection must not be waited on; the previous message's trailing
+// newline does not count.
+func (c *jsonCodec) AwaitMessage() error {
+	held, ok := c.dec.Buffered().(*bytes.Reader)
+	if !ok {
+		return nil // unknown buffer type: never risk blocking
+	}
+	for held.Len() > 0 {
+		if b, _ := held.ReadByte(); b != ' ' && b != '\t' && b != '\n' && b != '\r' {
+			return nil
+		}
+	}
+	_, err := c.r.Peek(1)
+	return err
+}
 
 func (c *jsonCodec) WriteRequest(req *wireRequest) error { return c.enc.Encode(req) }
 
@@ -227,6 +251,12 @@ func newBinaryCodec(r *bufio.Reader, w io.Writer) *binaryCodec {
 }
 
 func (c *binaryCodec) Name() string { return CodecBinary }
+
+// AwaitMessage implements codec.
+func (c *binaryCodec) AwaitMessage() error {
+	_, err := c.r.Peek(1)
+	return err
+}
 
 // binWriter appends primitive fields to a frame under construction,
 // latching the first error.

@@ -42,7 +42,7 @@ func monoHierarchy(rackTrees []*core.Node, fanOut, levels int) *core.Node {
 	for level := 1; level <= levels-2; level++ {
 		var next []*core.Node
 		for gi := 0; gi*fanOut < len(nodes); gi++ {
-			chunk := nodes[gi*fanOut:min((gi+1)*fanOut, len(nodes))]
+			chunk := nodes[gi*fanOut : min((gi+1)*fanOut, len(nodes))]
 			next = append(next, core.NewShifting(fmt.Sprintf("l%d-%d", level, gi), 0, chunk...))
 		}
 		nodes = next
@@ -67,8 +67,8 @@ func TestBuildHierarchyShape(t *testing.T) {
 		wantTiers      []int // aggregators per tier, bottom-up
 	}{
 		{levels: 2, fanOut: 3, wantTiers: nil},
-		{levels: 3, fanOut: 3, wantTiers: []int{4}},      // 10 racks / 3
-		{levels: 4, fanOut: 3, wantTiers: []int{4, 2}},   // 4 aggs / 3
+		{levels: 3, fanOut: 3, wantTiers: []int{4}},    // 10 racks / 3
+		{levels: 4, fanOut: 3, wantTiers: []int{4, 2}}, // 4 aggs / 3
 		{levels: 5, fanOut: 3, wantTiers: []int{4, 2, 1}},
 	}
 	for _, tc := range cases {

@@ -274,9 +274,8 @@ func newRoomMetrics(reg *telemetry.Registry, rackIDs []string) roomMetrics {
 
 // rackMetrics instruments a rack worker.
 type rackMetrics struct {
-	budget      *telemetry.Gauge
-	applies     *telemetry.Counter
-	applyErrors *telemetry.Counter
+	budget  *telemetry.Gauge
+	applies *telemetry.Counter
 }
 
 func newRackMetrics(reg *telemetry.Registry, rackID string) rackMetrics {
@@ -285,8 +284,6 @@ func newRackMetrics(reg *telemetry.Registry, rackID string) rackMetrics {
 			"Budget most recently received from the room worker.", "rack").With(rackID),
 		applies: reg.CounterVec("capmaestro_rack_applies_total",
 			"Budget applications distributed down the rack subtree.", "rack").With(rackID),
-		applyErrors: reg.CounterVec("capmaestro_rack_apply_errors_total",
-			"Budget applications that failed to allocate.", "rack").With(rackID),
 	}
 }
 

@@ -255,6 +255,9 @@ func (s *RackServer) serveConn(conn net.Conn) {
 	var req wireRequest
 	var batchScratch []wireBatchEntry
 	for {
+		if err := cdc.AwaitMessage(); err != nil {
+			return // connection closed
+		}
 		var t0 time.Time
 		if s.met.enabled {
 			t0 = time.Now()
@@ -688,6 +691,11 @@ func (c *TCPClient) attempt(ctx context.Context, req wireRequest) (wireResponse,
 	}
 	if c.met.enabled {
 		c.encHist.ObserveSince(t0)
+	}
+	if err := cdc.AwaitMessage(); err != nil {
+		return wireResponse{}, c.fault(conn, err)
+	}
+	if c.met.enabled {
 		t0 = time.Now()
 	}
 	var resp wireResponse

@@ -38,6 +38,20 @@ func BenchmarkTransport(b *testing.B) {
 	}
 }
 
+// TestBinaryDeltaGatherZeroAllocs gates BenchmarkTransport's binary-delta
+// steady state: a full gather RPC — both codec ends, the delta tracker and
+// the client cache — allocates nothing.
+func TestBinaryDeltaGatherZeroAllocs(t *testing.T) {
+	c := newBenchConn(t, CodecBinary, true)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := c.gather(true); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("binary-delta gather allocates %v times per RPC, want 0", n)
+	}
+}
+
 func benchTransport(b *testing.B, codecName string, delta bool, racks int) {
 	conns := make([]*benchConn, racks)
 	for i := range conns {
@@ -100,7 +114,7 @@ type benchConn struct {
 	respC, respS *wireResponse
 }
 
-func newBenchConn(b *testing.B, codecName string, delta bool) *benchConn {
+func newBenchConn(b testing.TB, codecName string, delta bool) *benchConn {
 	b.Helper()
 	reqPipe := &bytes.Buffer{}
 	respPipe := &bytes.Buffer{}
@@ -166,6 +180,9 @@ func (c *benchConn) gather(delta bool) error {
 	if err := c.client.WriteRequest(c.reqC); err != nil {
 		return err
 	}
+	if err := c.server.AwaitMessage(); err != nil {
+		return err
+	}
 	if err := c.server.ReadRequest(c.reqS); err != nil {
 		return err
 	}
@@ -176,6 +193,9 @@ func (c *benchConn) finishExchange() error {
 	*c.respS = wireResponse{OK: true, Summary: &c.summary}
 	c.delta.squash(c.reqS, c.respS)
 	if err := c.server.WriteResponse(c.respS); err != nil {
+		return err
+	}
+	if err := c.client.AwaitMessage(); err != nil {
 		return err
 	}
 	if err := c.client.ReadResponse(c.respC); err != nil {

@@ -409,3 +409,61 @@ func TestTransportChaosBothCodecs(t *testing.T) {
 		})
 	}
 }
+
+// slowRack is a rack whose gathers take delay to answer.
+type slowRack struct {
+	RackClient
+	delay time.Duration
+}
+
+func (r slowRack) Gather(ctx context.Context) (core.Summary, error) {
+	time.Sleep(r.delay)
+	return r.RackClient.Gather(ctx)
+}
+
+// TestCodecDecodeHistogramExcludesWaits pins what the decode histogram
+// times: decoding only. A server idle for 200 ms between two requests and
+// a rack taking 100 ms to answer must both stay out of it, on the server
+// and on the client, under either codec.
+func TestCodecDecodeHistogramExcludesWaits(t *testing.T) {
+	const idle, handling = 200 * time.Millisecond, 100 * time.Millisecond
+	for _, name := range []string{CodecJSON, CodecBinary} {
+		t.Run(name, func(t *testing.T) {
+			w, err := NewRackWorker("r", rackOf("r", 4, 400), core.GlobalPriority, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srvReg, cliReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+			srv, err := ServeRacks(map[string]RackClient{"r": slowRack{LocalClient{w}, handling}},
+				"127.0.0.1:0", WithTelemetry(srvReg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c := DialRack(srv.Addr(), 5*time.Second, WithWireCodec(name), WithTelemetry(cliReg))
+			defer c.Close()
+			rack := c.Rack("r")
+			ctx := context.Background()
+			if _, err := rack.Gather(ctx); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(idle)
+			if _, err := rack.Gather(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for _, side := range []struct {
+				role string
+				reg  *telemetry.Registry
+			}{{"server", srvReg}, {"client", cliReg}} {
+				dec := side.reg.HistogramVec("capmaestro_rpc_codec_seconds", "", codecBuckets,
+					"role", "codec", "op").With(side.role, name, "decode")
+				if dec.Count() != 2 {
+					t.Fatalf("%s: %d decodes recorded, want 2", side.role, dec.Count())
+				}
+				if sum := time.Duration(dec.Sum() * float64(time.Second)); sum > 20*time.Millisecond {
+					t.Errorf("%s: decode histogram sums to %v; it counts waiting", side.role, sum)
+				}
+			}
+		})
+	}
+}

@@ -41,12 +41,19 @@ type RackWorker struct {
 	id     string
 	policy core.Policy
 
-	mu   sync.Mutex
-	tree *core.Node
-	sink BudgetSink
+	mu sync.Mutex
+	// engine is the persistent allocator bound to the current subtree:
+	// gathers summarize through it and budget applications run it, so a
+	// steady-state period allocates nothing for the rack's own work.
+	engine *core.Allocator
+	sink   BudgetSink
 
 	lastBudget power.Watts
-	lastAlloc  *core.Allocation
+	// applied reports whether engine holds an applied budget's result.
+	// prevAlloc is the last applied result of an engine replaced by a
+	// shape-changing SetTree, served until the next ApplyBudget.
+	applied   bool
+	prevAlloc *core.Allocation
 
 	log            *slog.Logger
 	met            rackMetrics
@@ -68,12 +75,13 @@ func NewRackWorker(id string, tree *core.Node, policy core.Policy, sink BudgetSi
 	if tree == nil {
 		return nil, errors.New("controlplane: nil rack subtree")
 	}
-	if err := tree.Validate(); err != nil {
+	engine, err := core.NewAllocator(tree)
+	if err != nil {
 		return nil, fmt.Errorf("controlplane: rack %s: %w", id, err)
 	}
 	o := buildOptions(opts)
 	return &RackWorker{
-		id: id, policy: policy, tree: tree, sink: sink,
+		id: id, policy: policy, engine: engine, sink: sink,
 		log:            o.log,
 		met:            newRackMetrics(o.reg, id),
 		budgetLogDelta: o.budgetLogDelta,
@@ -84,7 +92,9 @@ func NewRackWorker(id string, tree *core.Node, policy core.Policy, sink BudgetSi
 func (w *RackWorker) ID() string { return w.id }
 
 // SetTree atomically replaces the worker's subtree; callers refresh leaf
-// demand estimates and shares every control period before gathering.
+// demand estimates and shares every control period before gathering. A
+// tree of the same shape (see core.Allocator.Rebind) is rebound in place;
+// any other valid tree gets a new engine.
 func (w *RackWorker) SetTree(tree *core.Node) error {
 	if tree == nil {
 		return errors.New("controlplane: nil rack subtree")
@@ -94,7 +104,18 @@ func (w *RackWorker) SetTree(tree *core.Node) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.tree = tree
+	if w.engine.Rebind(tree) {
+		return nil
+	}
+	engine, err := core.NewAllocator(tree)
+	if err != nil {
+		return err
+	}
+	if w.applied {
+		w.prevAlloc = w.engine.Snapshot()
+		w.applied = false
+	}
+	w.engine = engine
 	return nil
 }
 
@@ -106,9 +127,9 @@ func (w *RackWorker) Gather(ctx context.Context) (core.Summary, error) {
 	span := flightrec.TraceFrom(ctx).StartSpan("rack.gather", w.id, flightrec.ParentIDFrom(ctx))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s, err := core.Summarize(w.tree, w.policy)
-	span.End(err)
-	return s, err
+	s := w.engine.Summarize(w.policy)
+	span.End(nil)
+	return s, nil
 }
 
 // GatherDigest gathers the rack's summary plus its single-rack fleet
@@ -121,17 +142,16 @@ func (w *RackWorker) GatherDigest(ctx context.Context) (core.Summary, *fleetobs.
 	span := flightrec.TraceFrom(ctx).StartSpan("rack.gather", w.id, flightrec.ParentIDFrom(ctx))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s, err := core.Summarize(w.tree, w.policy)
-	span.End(err)
-	if err != nil {
-		return core.Summary{}, nil, err
-	}
+	s := w.engine.Summarize(w.policy)
+	span.End(nil)
 	rackSelfDigest(&w.dig, w.id, &s, w.lastBudget, w.budgetSeen)
 	return s, &w.dig, nil
 }
 
 // ApplyBudget distributes the budget assigned by the room worker down the
-// rack's subtree and forwards the per-supply budgets to the sink.
+// rack's subtree and forwards the per-supply budgets to the sink, in the
+// engine's BFS leaf order. A traced period's explain records go to its
+// flight-recorder trace.
 func (w *RackWorker) ApplyBudget(ctx context.Context, b power.Watts) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -140,15 +160,10 @@ func (w *RackWorker) ApplyBudget(ctx context.Context, b power.Watts) error {
 	span := pt.StartSpan("rack.apply", w.id, flightrec.ParentIDFrom(ctx))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	alloc, err := core.AllocateExplained(w.tree, b, w.policy, pt.ExplainSink())
-	span.End(err)
-	if err != nil {
-		w.met.applyErrors.Inc()
-		if w.log != nil {
-			w.log.Error("rack budget application failed", "rack", w.id, "budget", float64(b), "err", err)
-		}
-		return fmt.Errorf("controlplane: rack %s: %w", w.id, err)
-	}
+	w.engine.SetExplainSink(pt.ExplainSink())
+	w.engine.Run(b, w.policy)
+	w.engine.SetExplainSink(nil)
+	span.End(nil)
 	if w.log != nil && w.budgetSeen &&
 		math.Abs(float64(b-w.lastBudget)) > float64(w.budgetLogDelta) {
 		w.log.Info("rack budget changed", "rack", w.id,
@@ -156,12 +171,15 @@ func (w *RackWorker) ApplyBudget(ctx context.Context, b power.Watts) error {
 	}
 	w.budgetSeen = true
 	w.lastBudget = b
-	w.lastAlloc = alloc
+	w.applied = true
+	w.prevAlloc = nil
 	w.met.budget.Set(float64(b))
 	w.met.applies.Inc()
 	if w.sink != nil {
-		for supplyID, budget := range alloc.SupplyBudgets {
-			w.sink(supplyID, budget)
+		for i := 0; i < w.engine.Len(); i++ {
+			if l := w.engine.Node(i).Leaf; l != nil {
+				w.sink(l.SupplyID, w.engine.NodeBudget(i))
+			}
 		}
 	}
 	return nil
@@ -175,11 +193,14 @@ func (w *RackWorker) LastBudget() power.Watts {
 }
 
 // LastAllocation returns the most recent local allocation (nil before the
-// first period).
+// first period), built afresh on every call.
 func (w *RackWorker) LastAllocation() *core.Allocation {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.lastAlloc
+	if w.applied {
+		return w.engine.Snapshot()
+	}
+	return w.prevAlloc
 }
 
 // RackClient is the transport-facing interface of a rack worker. The room

@@ -604,12 +604,12 @@ func TestProxyNodeAllocation(t *testing.T) {
 		leaf("r-hi", "RH", 1, 1, 490),
 		leaf("r-lo", "RL", 0, 1, 490),
 	)
-	summary, err := Summarize(rack, GlobalPriority)
+	engine, err := NewAllocator(rack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree := NewShifting("room", 0,
-		NewProxy("rack-proxy", summary),
+		NewProxy("rack-proxy", engine.Summarize(GlobalPriority)),
 		leaf("local-lo", "LL", 0, 1, 490),
 	)
 	a := MustAllocate(tree, 1100, GlobalPriority)

@@ -489,13 +489,3 @@ func LeafSummary(l *SupplyLeaf) Summary {
 	leafMetricsInto(&s, l)
 	return s
 }
-
-// Summarize runs the metrics gathering phase over a subtree and returns
-// the summary its root would report upstream under the given policy.
-func Summarize(root *Node, policy Policy) (Summary, error) {
-	a, err := NewAllocator(root)
-	if err != nil {
-		return Summary{}, err
-	}
-	return a.Summarize(policy), nil
-}

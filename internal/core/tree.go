@@ -94,6 +94,18 @@ func (n *Node) limitOrInf() power.Watts {
 // IsLeaf reports whether the node is a capping-controller endpoint.
 func (n *Node) IsLeaf() bool { return n.Leaf != nil }
 
+// isLeafParent reports whether the node is a lowest-level shifting
+// controller (a direct parent of capping-controller endpoints), where
+// LocalPriority collapses priorities.
+func (n *Node) isLeafParent() bool {
+	for _, c := range n.Children {
+		if c.IsLeaf() {
+			return true
+		}
+	}
+	return false
+}
+
 // Walk visits the node and its descendants in depth-first preorder.
 func (n *Node) Walk(fn func(*Node)) {
 	fn(n)
