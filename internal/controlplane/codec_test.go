@@ -102,15 +102,12 @@ func codecResponseFixtures() map[string]wireResponse {
 	}
 }
 
-// codecPair builds a connected codec of the given name over an in-memory
-// buffer: what one side writes, the same side reads back (both directions
-// share the frame layout, so a single buffer suffices for round-trips).
-func codecPair(name string) (codec, *bytes.Buffer) {
+// codecPair builds a codec over an in-memory buffer: what one side
+// writes, the same side reads back (both directions share the frame
+// layout, so a single buffer suffices for round-trips).
+func codecPair() (*binaryCodec, *bytes.Buffer) {
 	buf := &bytes.Buffer{}
-	if name == CodecBinary {
-		return newBinaryCodec(bufio.NewReader(buf), buf), buf
-	}
-	return newJSONCodec(bufio.NewReader(buf), buf), buf
+	return newBinaryCodec(bufio.NewReader(buf), buf), buf
 }
 
 func requestsEquivalent(a, b wireRequest) bool {
@@ -165,8 +162,8 @@ func responsesEquivalent(a, b wireResponse) bool {
 	}
 	for i := range a.Spans {
 		sa, sb := a.Spans[i], b.Spans[i]
-		// Compare instants, not time.Time internals: codecs may decode
-		// into different (equal) wall-clock representations.
+		// Compare instants, not time.Time internals: decoding may yield
+		// a different (equal) wall-clock representation.
 		if !sa.Start.Equal(sb.Start) {
 			return false
 		}
@@ -178,51 +175,37 @@ func responsesEquivalent(a, b wireResponse) bool {
 	return reflect.DeepEqual(a.Explains, b.Explains)
 }
 
-// TestCodecCrossRoundTrip round-trips every fixture through both codecs
-// and cross-checks them: the structs the binary bytes decode to must be
-// exactly the structs the JSON bytes decode to.
+// TestCodecCrossRoundTrip round-trips every fixture through the codec:
+// each request and response must decode to exactly the struct that was
+// encoded.
 func TestCodecCrossRoundTrip(t *testing.T) {
 	for name, req := range codecRequestFixtures() {
 		t.Run("request/"+name, func(t *testing.T) {
-			decoded := make(map[string]wireRequest, 2)
-			for _, cn := range []string{CodecJSON, CodecBinary} {
-				c, _ := codecPair(cn)
-				if err := c.WriteRequest(&req); err != nil {
-					t.Fatalf("%s encode: %v", cn, err)
-				}
-				var got wireRequest
-				if err := c.ReadRequest(&got); err != nil {
-					t.Fatalf("%s decode: %v", cn, err)
-				}
-				if !requestsEquivalent(req, got) {
-					t.Fatalf("%s round trip drifted:\n in %+v\nout %+v", cn, req, got)
-				}
-				decoded[cn] = got
+			c, _ := codecPair()
+			if err := c.WriteRequest(&req); err != nil {
+				t.Fatalf("encode: %v", err)
 			}
-			if !requestsEquivalent(decoded[CodecJSON], decoded[CodecBinary]) {
-				t.Fatalf("codecs disagree:\njson   %+v\nbinary %+v", decoded[CodecJSON], decoded[CodecBinary])
+			var got wireRequest
+			if err := c.ReadRequest(&got); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !requestsEquivalent(req, got) {
+				t.Fatalf("round trip drifted:\n in %+v\nout %+v", req, got)
 			}
 		})
 	}
 	for name, resp := range codecResponseFixtures() {
 		t.Run("response/"+name, func(t *testing.T) {
-			decoded := make(map[string]wireResponse, 2)
-			for _, cn := range []string{CodecJSON, CodecBinary} {
-				c, _ := codecPair(cn)
-				if err := c.WriteResponse(&resp); err != nil {
-					t.Fatalf("%s encode: %v", cn, err)
-				}
-				var got wireResponse
-				if err := c.ReadResponse(&got); err != nil {
-					t.Fatalf("%s decode: %v", cn, err)
-				}
-				if !responsesEquivalent(resp, got) {
-					t.Fatalf("%s round trip drifted:\n in %+v\nout %+v", cn, resp, got)
-				}
-				decoded[cn] = got
+			c, _ := codecPair()
+			if err := c.WriteResponse(&resp); err != nil {
+				t.Fatalf("encode: %v", err)
 			}
-			if !responsesEquivalent(decoded[CodecJSON], decoded[CodecBinary]) {
-				t.Fatalf("codecs disagree:\njson   %+v\nbinary %+v", decoded[CodecJSON], decoded[CodecBinary])
+			var got wireResponse
+			if err := c.ReadResponse(&got); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !responsesEquivalent(resp, got) {
+				t.Fatalf("round trip drifted:\n in %+v\nout %+v", resp, got)
 			}
 		})
 	}
@@ -233,7 +216,7 @@ func TestCodecCrossRoundTrip(t *testing.T) {
 // exactly once.
 func TestCodecSequencedFrames(t *testing.T) {
 	buf := &bytes.Buffer{}
-	cli := newClientCodec(CodecBinary, buf)
+	cli := newClientCodec(buf)
 	reqs := []wireRequest{{Op: opPing}, {Op: opGather, HaveCached: true}, {Op: opBudget, Budget: 7}}
 	for i := range reqs {
 		if err := cli.WriteRequest(&reqs[i]); err != nil {
@@ -267,7 +250,7 @@ func TestCodecSequencedFrames(t *testing.T) {
 // panic) and leave nothing decoded.
 func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 	// A valid response frame to mutate.
-	c, buf := codecPair(CodecBinary)
+	c, buf := codecPair()
 	resp := codecResponseFixtures()["traced"]
 	if err := c.WriteResponse(&resp); err != nil {
 		t.Fatal(err)
@@ -369,7 +352,7 @@ func digestScalars(w *binWriter) {
 // TestBinaryEncodeRejectsOversizedFields pins the encoder-side limits:
 // strings beyond u16 length fail loudly instead of corrupting the frame.
 func TestBinaryEncodeRejectsOversizedFields(t *testing.T) {
-	c, _ := codecPair(CodecBinary)
+	c, _ := codecPair()
 	req := wireRequest{Op: opGather, Trace: &flightrec.TraceContext{TraceID: strings.Repeat("x", 1<<17)}}
 	if err := c.WriteRequest(&req); err == nil {
 		t.Fatal("oversized trace ID encoded without error")
@@ -377,33 +360,6 @@ func TestBinaryEncodeRejectsOversizedFields(t *testing.T) {
 	resp := wireResponse{Error: strings.Repeat("e", 1<<17)}
 	if err := c.WriteResponse(&resp); err == nil {
 		t.Fatal("oversized error string encoded without error")
-	}
-}
-
-// TestJSONWireBytesUnchanged pins the JSON codec's byte stream against the
-// historical newline-delimited encoding: new protocol fields must stay
-// invisible when unset so pre-codec peers interoperate.
-func TestJSONWireBytesUnchanged(t *testing.T) {
-	c, buf := codecPair(CodecJSON)
-	if err := c.WriteRequest(&wireRequest{Op: opGather}); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "{\"op\":\"gather\"}\n" {
-		t.Fatalf("gather request bytes drifted: %q", got)
-	}
-	buf.Reset()
-	if err := c.WriteRequest(&wireRequest{Op: opBudget, Budget: 850}); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "{\"op\":\"budget\",\"budget\":850}\n" {
-		t.Fatalf("budget request bytes drifted: %q", got)
-	}
-	buf.Reset()
-	if err := c.WriteResponse(&wireResponse{OK: true}); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "{\"ok\":true}\n" {
-		t.Fatalf("ok response bytes drifted: %q", got)
 	}
 }
 

@@ -408,7 +408,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Priority 3 metrics survive the integer-keyed map JSON round trip.
+	// Priority 3 metrics survive the wire round trip.
 	if got.CapMin(3) != 270 || got.Request(3) != 450 || got.Constraint != 490 {
 		t.Errorf("round-tripped summary = %+v", got)
 	}

@@ -13,7 +13,7 @@ import (
 
 // BenchmarkTransport measures the wire cost of the gather hot path —
 // encode request, decode request, encode response, decode response —
-// through the production codecs and delta tracker, over in-memory pipes
+// through the production codec and delta tracker, over in-memory pipes
 // so codec work dominates rather than kernel socket overhead. One op is a
 // full gather sweep across `racks` connections; the wireB/rpc metric is
 // total bytes on the wire divided by individual RPCs, the number
@@ -24,15 +24,13 @@ func BenchmarkTransport(b *testing.B) {
 	for _, racks := range []int{1, 64, 1024} {
 		for _, cfg := range []struct {
 			name  string
-			codec string
 			delta bool
 		}{
-			{"json", CodecJSON, false},
-			{"binary", CodecBinary, false},
-			{"binary-delta", CodecBinary, true},
+			{"binary", false},
+			{"binary-delta", true},
 		} {
 			b.Run(fmt.Sprintf("%s/racks=%d", cfg.name, racks), func(b *testing.B) {
-				benchTransport(b, cfg.codec, cfg.delta, racks)
+				benchTransport(b, cfg.delta, racks)
 			})
 		}
 	}
@@ -42,7 +40,7 @@ func BenchmarkTransport(b *testing.B) {
 // steady state: a full gather RPC — both codec ends, the delta tracker and
 // the client cache — allocates nothing.
 func TestBinaryDeltaGatherZeroAllocs(t *testing.T) {
-	c := newBenchConn(t, CodecBinary, true)
+	c := newBenchConn(t, true)
 	if n := testing.AllocsPerRun(200, func() {
 		if err := c.gather(true); err != nil {
 			t.Fatal(err)
@@ -52,10 +50,10 @@ func TestBinaryDeltaGatherZeroAllocs(t *testing.T) {
 	}
 }
 
-func benchTransport(b *testing.B, codecName string, delta bool, racks int) {
+func benchTransport(b *testing.B, delta bool, racks int) {
 	conns := make([]*benchConn, racks)
 	for i := range conns {
-		conns[i] = newBenchConn(b, codecName, delta)
+		conns[i] = newBenchConn(b, delta)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,13 +92,13 @@ type splitRW struct {
 }
 
 // benchConn is one simulated rack connection: the client codec end, the
-// server codec end (negotiated via detectServerCodec exactly as
-// serveConn does), the server's delta tracker, and the client's cached
+// server codec end (opened via acceptPreamble exactly as serveConn
+// does), the server's delta tracker, and the client's cached
 // summary. Request/response structs live on the conn so the measured
 // loop takes no heap allocations of its own.
 type benchConn struct {
-	client codec
-	server codec
+	client *binaryCodec
+	server *binaryCodec
 	delta  *deltaTracker
 
 	c2s *countingWriter
@@ -114,7 +112,7 @@ type benchConn struct {
 	respC, respS *wireResponse
 }
 
-func newBenchConn(b testing.TB, codecName string, delta bool) *benchConn {
+func newBenchConn(b testing.TB, delta bool) *benchConn {
 	b.Helper()
 	reqPipe := &bytes.Buffer{}
 	respPipe := &bytes.Buffer{}
@@ -126,7 +124,7 @@ func newBenchConn(b testing.TB, codecName string, delta bool) *benchConn {
 		respC: &wireResponse{},
 		respS: &wireResponse{},
 	}
-	c.client = newClientCodec(codecName, splitRW{respPipe, c.c2s})
+	c.client = newClientCodec(splitRW{respPipe, c.c2s})
 	c.summary = core.NewSummary()
 	c.summary.Constraint = 12800
 	c.summary.SetLevel(3, 800, 1950.5, 1950.5)
@@ -137,14 +135,14 @@ func newBenchConn(b testing.TB, codecName string, delta bool) *benchConn {
 		c.delta = &deltaTracker{}
 	}
 
-	// First exchange carries the binary preamble and negotiates the
-	// server codec; two more warm every reusable buffer (codec frame
+	// First exchange carries the preamble and opens the server codec;
+	// two more warm every reusable buffer (codec frame
 	// buffers, pipe capacity, delta tracker state) so the measured loop
 	// is steady state.
 	if err := c.client.WriteRequest(&wireRequest{Op: opGather}); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := detectServerCodec(bufio.NewReader(reqPipe), c.s2c, CodecAuto)
+	srv, err := acceptPreamble(bufio.NewReader(reqPipe), c.s2c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -162,7 +160,7 @@ func newBenchConn(b testing.TB, codecName string, delta bool) *benchConn {
 }
 
 // finishWarmupGather completes the first exchange, whose request was
-// already written during codec negotiation.
+// already written before the server codec was opened.
 func (c *benchConn) finishWarmupGather() error {
 	if err := c.server.ReadRequest(c.reqS); err != nil {
 		return err

@@ -10,8 +10,8 @@
 // summary), and pushes each rack its budget; rack workers then distribute
 // their budget down to individual power supplies. Workers communicate
 // through a RackClient transport: in-process for single-binary
-// deployments, or JSON-over-TCP (see transport.go) matching the paper's
-// worker-VM deployment.
+// deployments, or a binary protocol over TCP (see transport.go) matching
+// the paper's worker-VM deployment.
 package controlplane
 
 import (
@@ -500,11 +500,15 @@ func (w *RoomWorker) gatherPhase(ctx context.Context, pt *flightrec.PeriodTrace,
 }
 
 // allocPhase commits the gather outcomes (filling the reused hold map),
-// installs fresh summaries into the proxies, and runs the budgeting
-// phase on the persistent engine. It touches the tree and engine, so in
-// pipelined mode it must not run while a previous period's push wave is
-// still in flight (the runner joins the push first).
+// folds the fleet digest, installs fresh summaries into the proxies, and
+// runs the budgeting phase on the persistent engine. The allocate phase
+// histogram and span time all of it, so the three phases cover the
+// period. It touches the tree and engine, so in pipelined mode it must
+// not run while a previous period's push wave is still in flight (the
+// runner joins the push first).
 func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string) *core.Allocation {
+	allocStart := time.Now()
+	allocSpan := pt.StartSpan("allocate", "room", rootID)
 	w.commitGather(w.fresh, w.failed)
 	w.buildFleetDigest()
 
@@ -521,15 +525,13 @@ func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string) *core.
 		}
 	}
 
-	allocStart := time.Now()
-	allocSpan := pt.StartSpan("allocate", "room", rootID)
 	w.engine.SetExplainSink(pt.ExplainSink())
 	w.engine.Run(w.budget, w.policy)
 	w.engine.SetExplainSink(nil)
 	alloc := w.engine.Snapshot()
+	w.noteRackBudgets(alloc)
 	allocSpan.End(nil)
 	w.met.allocateSeconds.ObserveSince(allocStart)
-	w.noteRackBudgets(alloc)
 	return alloc
 }
 

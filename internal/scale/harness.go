@@ -186,20 +186,15 @@ func (f *fleet) Close() {
 }
 
 // buildFleet stands up the rack workers grouped FanOut-per-endpoint on
-// real TCP listeners and dials them according to the spec's codec and
-// batch settings.
+// real TCP listeners, sets the servers' delta deadband from the spec's
+// codec, and dials them according to its batch setting.
 func buildFleet(spec *Spec, reg *telemetry.Registry) (*fleet, error) {
 	serverOpts := []controlplane.Option{}
 	clientOpts := []controlplane.Option{controlplane.WithTelemetry(reg)}
 	switch spec.Codec {
-	case "json":
-		clientOpts = append(clientOpts, controlplane.WithWireCodec(controlplane.CodecJSON))
-		serverOpts = append(serverOpts, controlplane.WithDeltaDeadband(-1))
 	case "binary":
-		clientOpts = append(clientOpts, controlplane.WithWireCodec(controlplane.CodecBinary))
 		serverOpts = append(serverOpts, controlplane.WithDeltaDeadband(-1))
 	case "binary-delta":
-		clientOpts = append(clientOpts, controlplane.WithWireCodec(controlplane.CodecBinary))
 		serverOpts = append(serverOpts, controlplane.WithDeltaDeadband(1))
 	}
 	if spec.Digests {
@@ -354,7 +349,7 @@ func Run(ctx context.Context, spec Spec, logf func(format string, args ...any)) 
 	}
 	logf("hierarchy up: %d levels, %d aggregators, %d endpoints, budget %.0f W", spec.Levels, aggs, len(f.servers), float64(budget))
 
-	// Warmup periods: connection establishment, codec negotiation, buffer
+	// Warmup periods: connection establishment and preamble, buffer
 	// growth, first-period map fills.
 	for i := 0; i < spec.Warmup; i++ {
 		if _, _, err := h.Room.RunPeriod(ctx); err != nil {

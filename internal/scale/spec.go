@@ -27,8 +27,9 @@ type Spec struct {
 	// the level-1 aggregator chunking so one batch frame serves one
 	// aggregator's children.
 	FanOut int `json:"fan_out"`
-	// Codec is "json", "binary", or "binary-delta" (binary with a 1 W
-	// delta deadband, so unchanged summaries squash to marker frames).
+	// Codec is "binary" (delta responses off: every gather ships a full
+	// summary) or "binary-delta" (a 1 W delta deadband, so unchanged
+	// summaries squash to marker frames).
 	Codec string `json:"codec"`
 	// Batch multiplexes each endpoint's racks into single gather/push
 	// frames over one shared connection; false dials one connection per
@@ -85,7 +86,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scale: spec %q: levels must be >= 2", s.Name)
 	}
 	switch s.Codec {
-	case "json", "binary", "binary-delta":
+	case "binary", "binary-delta":
 	default:
 		return fmt.Errorf("scale: spec %q: unknown codec %q", s.Name, s.Codec)
 	}
