@@ -382,7 +382,8 @@ type (
 	BudgetSink = controlplane.BudgetSink
 	// ControlPlaneOption configures workers and transports.
 	ControlPlaneOption = controlplane.Option
-	// PeriodStats summarizes one room control period.
+	// PeriodStats summarizes one room control period, or an aggregator's
+	// last gather and apply passes.
 	PeriodStats = controlplane.PeriodStats
 	// Aggregator is a mid-level hierarchy worker: a RackClient toward its
 	// parent, a room worker toward its children.

@@ -92,9 +92,19 @@ func (c *switchableClient) ApplyBudget(ctx context.Context, b power.Watts) error
 	return c.inner.ApplyBudget(ctx, b)
 }
 
-// twoRackRoom builds a room over one healthy rack ("ok") and one
-// switchable rack ("dark"), both with a single 270–490 W server.
-func twoRackRoom(t *testing.T, budget power.Watts, darkFails bool, opts ...Option) (*RoomWorker, *switchableClient, *RackWorker) {
+// twoRackRig is a control tier over one healthy rack ("ok") and one
+// switchable rack ("dark"), both with a single 270–490 W server. step runs
+// one gather→allocate→push pass and returns the allocation and stats the
+// tier's face reports for it.
+type twoRackRig struct {
+	ok, darkWorker *RackWorker
+	dark           *switchableClient
+	step           func() (*core.Allocation, PeriodStats)
+}
+
+// twoRacks builds the two racks of a twoRackRig and the tree over their
+// proxies, leaving step unset.
+func twoRacks(t *testing.T, darkFails bool) (*core.Node, map[string]RackClient, *twoRackRig) {
 	t.Helper()
 	okWorker, err := NewRackWorker("ok", core.NewShifting("ok", 0, leaf("a", "A", 0, 400)),
 		core.GlobalPriority, nil)
@@ -111,14 +121,65 @@ func twoRackRoom(t *testing.T, budget power.Watts, darkFails bool, opts ...Optio
 		core.NewProxy("ok", core.NewSummary()),
 		core.NewProxy("dark", core.NewSummary()),
 	)
-	room, err := NewRoomWorker(tree, budget, core.GlobalPriority, map[string]RackClient{
+	clients := map[string]RackClient{
 		"ok":   LocalClient{Worker: okWorker},
 		"dark": dark,
-	}, opts...)
+	}
+	return tree, clients, &twoRackRig{ok: okWorker, darkWorker: darkWorker, dark: dark}
+}
+
+// twoRackRoom builds a room over twoRacks; the rig's step runs one
+// control period.
+func twoRackRoom(t *testing.T, budget power.Watts, darkFails bool, opts ...Option) (*RoomWorker, *twoRackRig) {
+	t.Helper()
+	tree, clients, rig := twoRacks(t, darkFails)
+	room, err := NewRoomWorker(tree, budget, core.GlobalPriority, clients, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return room, dark, darkWorker
+	rig.step = func() (*core.Allocation, PeriodStats) {
+		t.Helper()
+		alloc, stats, err := room.RunPeriod(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alloc, stats
+	}
+	return room, rig
+}
+
+// tierFaces builds a twoRackRig behind each face of the control tier: a
+// room worker running periods, and an aggregator whose parent gathers it
+// and then applies the same budget.
+var tierFaces = []struct {
+	name  string
+	build func(t *testing.T, budget power.Watts, darkFails bool, opts ...Option) *twoRackRig
+}{
+	{"room", func(t *testing.T, budget power.Watts, darkFails bool, opts ...Option) *twoRackRig {
+		t.Helper()
+		_, rig := twoRackRoom(t, budget, darkFails, opts...)
+		return rig
+	}},
+	{"aggregator", func(t *testing.T, budget power.Watts, darkFails bool, opts ...Option) *twoRackRig {
+		t.Helper()
+		tree, clients, rig := twoRacks(t, darkFails)
+		agg, err := NewAggregator(tree, core.GlobalPriority, clients, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig.step = func() (*core.Allocation, PeriodStats) {
+			t.Helper()
+			ctx := context.Background()
+			if _, err := agg.Gather(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := agg.ApplyBudget(ctx, budget); err != nil {
+				t.Fatal(err)
+			}
+			return agg.LastAllocation(), agg.LastStats()
+		}
+		return rig
+	}},
 }
 
 // TestNeverGatheredRackNeverPushed is the regression test for the
@@ -127,7 +188,8 @@ func twoRackRoom(t *testing.T, budget power.Watts, darkFails bool, opts ...Optio
 // pushed ApplyBudget(0) while potentially serving live load. It must never
 // receive any ApplyBudget call until it has reported at least once.
 func TestNeverGatheredRackNeverPushed(t *testing.T) {
-	room, dark, darkWorker := twoRackRoom(t, 900, true)
+	room, rig := twoRackRoom(t, 900, true)
+	dark, darkWorker := rig.dark, rig.darkWorker
 	for period := 0; period < 4; period++ {
 		_, stats, err := room.RunPeriod(context.Background())
 		if err != nil {
@@ -161,65 +223,112 @@ func TestNeverGatheredRackNeverPushed(t *testing.T) {
 	}
 }
 
-// TestFailsafeBudgetReservation: with WithFailsafeBudget, the room reserves
+// TestFailsafeBudgetReservation: with WithFailsafeBudget, a tier reserves
 // exactly the failsafe for a never-gathered rack — shrinking what the live
 // racks may draw — while still never pushing the dark rack a budget.
 func TestFailsafeBudgetReservation(t *testing.T) {
-	room, dark, _ := twoRackRoom(t, 700, true, WithFailsafeBudget(300))
-	alloc, stats, err := room.RunPeriod(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.BudgetsHeld != 1 || dark.pushCount() != 0 {
-		t.Fatalf("dark rack not held: stats=%+v pushes=%d", stats, dark.pushCount())
-	}
-	if got := alloc.NodeBudgets["dark"]; !power.ApproxEqual(got, 300, 0.001) {
-		t.Errorf("failsafe reservation = %v, want 300", got)
-	}
-	// 700 W total − 300 W failsafe leaves 400 W for the live rack.
-	if got := alloc.NodeBudgets["ok"]; !power.ApproxEqual(got, 400, 0.001) {
-		t.Errorf("live rack budget = %v, want 400", got)
+	for _, face := range tierFaces {
+		t.Run(face.name, func(t *testing.T) {
+			rig := face.build(t, 700, true, WithFailsafeBudget(300))
+			alloc, stats := rig.step()
+			if stats.BudgetsHeld != 1 || rig.dark.pushCount() != 0 {
+				t.Fatalf("dark rack not held: stats=%+v pushes=%d", stats, rig.dark.pushCount())
+			}
+			if got := alloc.NodeBudgets["dark"]; !power.ApproxEqual(got, 300, 0.001) {
+				t.Errorf("failsafe reservation = %v, want 300", got)
+			}
+			// 700 W total − 300 W failsafe leaves 400 W for the live rack.
+			if got := alloc.NodeBudgets["ok"]; !power.ApproxEqual(got, 400, 0.001) {
+				t.Errorf("live rack budget = %v, want 400", got)
+			}
+		})
 	}
 }
 
 // TestStaleRackHeldAfterBound: a rack that has reported before keeps
 // receiving budgets (computed from its last summary) while within the
-// staleness bound, and is held once the bound is exceeded.
+// staleness bound, and is held once the bound is exceeded — at the room
+// and at an aggregator alike.
 func TestStaleRackHeldAfterBound(t *testing.T) {
-	room, flaky, _ := twoRackRoom(t, 900, false, WithStalenessBound(2))
-	run := func() PeriodStats {
-		t.Helper()
-		_, stats, err := room.RunPeriod(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
+	for _, face := range tierFaces {
+		t.Run(face.name, func(t *testing.T) {
+			rig := face.build(t, 900, false, WithStalenessBound(2))
+			flaky := rig.dark
+			rig.step() // pass 1: both fresh
+			if n := flaky.pushCount(); n != 1 {
+				t.Fatalf("healthy rack pushes = %d, want 1", n)
+			}
+			flaky.setGatherFails(true)
+			for i := 0; i < 2; i++ { // passes 2-3: stale but within bound
+				if _, stats := rig.step(); stats.BudgetsHeld != 0 {
+					t.Fatalf("within-bound pass held %d budgets", stats.BudgetsHeld)
+				}
+			}
+			if n := flaky.pushCount(); n != 3 {
+				t.Fatalf("within-bound pushes = %d, want 3", n)
+			}
+			if _, stats := rig.step(); stats.BudgetsHeld != 1 { // pass 4: bound exceeded
+				t.Fatalf("beyond-bound stats = %+v, want 1 held budget", stats)
+			}
+			if n := flaky.pushCount(); n != 3 {
+				t.Fatalf("beyond-bound pushes = %d, want pushes frozen at 3", n)
+			}
+			flaky.setGatherFails(false)
+			if _, stats := rig.step(); stats.BudgetsHeld != 0 {
+				t.Fatalf("post-recovery stats = %+v", stats)
+			}
+			if n := flaky.pushCount(); n != 4 {
+				t.Errorf("post-recovery pushes = %d, want 4", n)
+			}
+		})
 	}
-	run() // period 1: both fresh
-	if n := flaky.pushCount(); n != 1 {
-		t.Fatalf("healthy rack pushes = %d, want 1", n)
+}
+
+// TestRackFreshnessReportsAcknowledgedBudget is the regression test for
+// RackFreshness.LastBudget reporting budgets a rack never received. Once
+// "dark" is held, the room keeps re-allocating its share without pushing
+// it; /healthz and the fleet digest must keep reporting the budget dark
+// last acknowledged, which is the one it still enforces.
+func TestRackFreshnessReportsAcknowledgedBudget(t *testing.T) {
+	room, rig := twoRackRoom(t, 900, false, WithStalenessBound(1))
+	rig.step() // both fresh
+	rig.dark.setGatherFails(true)
+	rig.step() // stale within the bound: still pushed
+	rig.step() // beyond the bound: held
+	if !room.RackFreshness()["dark"].Held {
+		t.Fatal("dark rack not held after exceeding the staleness bound")
 	}
-	flaky.setGatherFails(true)
-	for i := 0; i < 2; i++ { // periods 2-3: stale but within bound
-		if stats := run(); stats.BudgetsHeld != 0 {
-			t.Fatalf("within-bound period held %d budgets", stats.BudgetsHeld)
-		}
+	acked := rig.darkWorker.LastBudget()
+
+	// ok rises to priority 1 at 490 W, shrinking dark's allocated share;
+	// dark is held, so that share is never pushed.
+	if err := rig.ok.SetTree(core.NewShifting("ok", 0, leaf("a", "A", 1, 490))); err != nil {
+		t.Fatal(err)
 	}
-	if n := flaky.pushCount(); n != 3 {
-		t.Fatalf("within-bound pushes = %d, want 3", n)
+	alloc, _ := rig.step()
+	if alloc.NodeBudgets["dark"] == acked {
+		t.Fatalf("setup: dark's allocation %v did not move off its acknowledged %v", alloc.NodeBudgets["dark"], acked)
 	}
-	if stats := run(); stats.BudgetsHeld != 1 { // period 4: bound exceeded
-		t.Fatalf("beyond-bound stats = %+v, want 1 held budget", stats)
+	if got := rig.darkWorker.LastBudget(); got != acked {
+		t.Fatalf("held rack received a push: enforces %v, acknowledged %v", got, acked)
 	}
-	if n := flaky.pushCount(); n != 3 {
-		t.Fatalf("beyond-bound pushes = %d, want pushes frozen at 3", n)
+	if got := room.RackFreshness()["dark"].LastBudget; got != acked {
+		t.Errorf("RackFreshness LastBudget = %v, want the acknowledged %v", got, acked)
 	}
-	flaky.setGatherFails(false)
-	if stats := run(); stats.BudgetsHeld != 0 {
-		t.Fatalf("post-recovery stats = %+v", stats)
+
+	// On recovery dark's digest is synthesized (its client sends none)
+	// from its acknowledged budget, so the fleet budget is what the two
+	// racks actually enforced when gathered.
+	okBudget := rig.ok.LastBudget()
+	rig.dark.setGatherFails(false)
+	rig.step()
+	rep, ok := room.FleetReport()
+	if !ok {
+		t.Fatal("no fleet report")
 	}
-	if n := flaky.pushCount(); n != 4 {
-		t.Errorf("post-recovery pushes = %d, want 4", n)
+	if want := float64(okBudget + acked); rep.Fleet.BudgetW != want {
+		t.Errorf("fleet budget = %v W, want %v (ok's %v + dark's acknowledged %v)",
+			rep.Fleet.BudgetW, want, okBudget, acked)
 	}
 }
 

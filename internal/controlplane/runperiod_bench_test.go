@@ -19,6 +19,48 @@ func (c *benchStubClient) ApplyBudget(context.Context, power.Watts) error {
 	return nil
 }
 
+// TestHierarchyRunPeriodAllocs gates the control tier's steady-state
+// allocations: one RunPeriod over 64 in-process racks, flat and through
+// one and two aggregator tiers (fan-out 4). The ceilings are the counts
+// measured before the room and aggregator were merged onto one tier, and
+// they hold at GOMAXPROCS 1, 2 and 4 and under -race. Lower is fine; a
+// rise fails.
+func TestHierarchyRunPeriodAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		levels int
+		max    float64
+	}{{2, 198}, {3, 310}, {4, 336}} {
+		t.Run(fmt.Sprintf("levels=%d", tc.levels), func(t *testing.T) {
+			racks := make(map[string]RackClient, 64)
+			for r := 0; r < 64; r++ {
+				w, err := NewRackWorker(fmt.Sprintf("hr%02d", r), hierRackTree(r), core.GlobalPriority, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				racks[w.ID()] = LocalClient{Worker: w}
+			}
+			h, err := BuildHierarchy(racks, HierarchyConfig{
+				Levels: tc.levels, FanOut: 4, Policy: core.GlobalPriority, Budget: 64000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			period := func() {
+				if _, stats, err := h.Room.RunPeriod(ctx); err != nil {
+					t.Fatal(err)
+				} else if stats.GatherErrors+stats.ApplyErrors+stats.BudgetsHeld != 0 {
+					t.Fatalf("degraded period: %+v", stats)
+				}
+			}
+			period() // warm up: first gathers, first pushes
+			if n := testing.AllocsPerRun(20, period); n > tc.max {
+				t.Errorf("RunPeriod allocates %v times per period, ceiling %v", n, tc.max)
+			}
+		})
+	}
+}
+
 // BenchmarkRoomRunPeriod measures one full gather→allocate→push control
 // period over 64 in-process stub racks. The per-period steady state
 // should stay near allocation-free: the fan-out engine, hold maps, and

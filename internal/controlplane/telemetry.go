@@ -19,7 +19,6 @@ type Option func(*options)
 type options struct {
 	reg             *telemetry.Registry
 	log             *slog.Logger
-	budgetLogDelta  power.Watts
 	stalenessBound  int
 	failsafeBudget  power.Watts
 	rpcRetries      int
@@ -37,7 +36,6 @@ type options struct {
 
 func buildOptions(opts []Option) options {
 	o := options{
-		budgetLogDelta:  DefaultBudgetLogDelta,
 		stalenessBound:  DefaultStalenessBound,
 		rpcRetries:      DefaultRPCRetries,
 		rpcRetryBackoff: DefaultRPCRetryBackoff,
@@ -65,15 +63,10 @@ func WithLogger(log *slog.Logger) Option {
 // triggers a "budget changed" log event.
 const DefaultBudgetLogDelta = power.Watts(1)
 
-// WithBudgetLogDelta overrides the budget-change logging threshold.
-func WithBudgetLogDelta(d power.Watts) Option {
-	return func(o *options) { o.budgetLogDelta = d }
-}
-
-// DefaultStalenessBound is the number of consecutive failed gathers the
-// room worker tolerates before holding a rack's budget pushes: the rack
-// then keeps its last applied budget instead of being steered from
-// unboundedly stale state.
+// DefaultStalenessBound is the number of consecutive failed gathers a
+// room worker or aggregator tolerates before holding a child's budget
+// pushes: the child then keeps its last acknowledged budget instead of
+// being steered from unboundedly stale state.
 const DefaultStalenessBound = 3
 
 // WithStalenessBound overrides the staleness bound, in control periods. A
@@ -191,14 +184,10 @@ type roomMetrics struct {
 	pushSeconds     *telemetry.Histogram
 	pipelineOverlap *telemetry.Histogram
 	periods         *telemetry.Counter
-	gatherErrors    *telemetry.Counter
-	applyErrors     *telemetry.Counter
-	heldPushes      *telemetry.Counter
+	tier            tierMetrics // gather/apply errors, held pushes, per-rack stale periods and budgets
 	racks           *telemetry.Gauge
 	budget          *telemetry.Gauge
 	unseenRacks     *telemetry.Gauge
-	staleByRack     map[string]*telemetry.Gauge
-	budgetByRack    map[string]*telemetry.Gauge
 
 	// Fleet digest rollup gauges, refreshed once per period from the
 	// merged fleet digest.
@@ -210,7 +199,7 @@ type roomMetrics struct {
 	fleetOutliers      *telemetry.Gauge
 }
 
-func newRoomMetrics(reg *telemetry.Registry, rackIDs []string) roomMetrics {
+func newRoomMetrics(reg *telemetry.Registry, racks map[string]RackClient) roomMetrics {
 	phases := reg.HistogramVec("capmaestro_controlplane_phase_seconds",
 		"Latency of each room-worker control-period phase.", phaseBuckets, "phase")
 	stale := reg.GaugeVec("capmaestro_controlplane_rack_stale_periods",
@@ -226,20 +215,22 @@ func newRoomMetrics(reg *telemetry.Registry, rackIDs []string) roomMetrics {
 			phaseBuckets),
 		periods: reg.Counter("capmaestro_controlplane_periods_total",
 			"Control periods executed by the room worker."),
-		gatherErrors: reg.Counter("capmaestro_controlplane_gather_errors_total",
-			"Rack summary gathers that failed or returned invalid summaries."),
-		applyErrors: reg.Counter("capmaestro_controlplane_apply_errors_total",
-			"Rack budget pushes that failed."),
-		heldPushes: reg.Counter("capmaestro_controlplane_held_pushes_total",
-			"Rack budget pushes withheld because the rack was never gathered or its summary exceeded the staleness bound."),
+		tier: tierMetrics{
+			gatherErrors: reg.Counter("capmaestro_controlplane_gather_errors_total",
+				"Rack summary gathers that failed or returned invalid summaries."),
+			applyErrors: reg.Counter("capmaestro_controlplane_apply_errors_total",
+				"Rack budget pushes that failed."),
+			heldPushes: reg.Counter("capmaestro_controlplane_held_pushes_total",
+				"Rack budget pushes withheld because the rack was never gathered or its summary exceeded the staleness bound."),
+			staleByChild:  make(map[string]*telemetry.Gauge, len(racks)),
+			budgetByChild: make(map[string]*telemetry.Gauge, len(racks)),
+		},
 		racks: reg.Gauge("capmaestro_controlplane_racks",
 			"Racks served by the room worker."),
 		budget: reg.Gauge("capmaestro_controlplane_budget_watts",
 			"Contractual budget the room worker allocates (0 = tree constraint)."),
 		unseenRacks: reg.Gauge("capmaestro_controlplane_unseen_racks",
 			"Racks from which no summary has ever been gathered successfully."),
-		staleByRack:  make(map[string]*telemetry.Gauge, len(rackIDs)),
-		budgetByRack: make(map[string]*telemetry.Gauge, len(rackIDs)),
 		fleetRacks: reg.Gauge("capmaestro_fleet_racks",
 			"Racks covered by the room worker's last merged fleet digest."),
 		fleetPower: reg.Gauge("capmaestro_fleet_power_watts",
@@ -253,9 +244,9 @@ func newRoomMetrics(reg *telemetry.Registry, rackIDs []string) roomMetrics {
 		fleetOutliers: reg.Gauge("capmaestro_fleet_outlier_racks",
 			"Racks flagged as outliers (cap-exceeded, low-headroom, stale) in the last merged fleet digest."),
 	}
-	for _, id := range rackIDs {
-		m.staleByRack[id] = stale.With(id)
-		m.budgetByRack[id] = rackBudget.With(id)
+	for id := range racks {
+		m.tier.staleByChild[id] = stale.With(id)
+		m.tier.budgetByChild[id] = rackBudget.With(id)
 	}
 	return m
 }
@@ -376,9 +367,7 @@ func (m *rpcMetrics) observe(op string, start time.Time, failed bool) {
 type aggMetrics struct {
 	gatherSeconds  *telemetry.Histogram
 	pushSeconds    *telemetry.Histogram
-	gatherErrors   *telemetry.Counter
-	applyErrors    *telemetry.Counter
-	heldPushes     *telemetry.Counter
+	tier           tierMetrics // gather/apply errors and held pushes
 	unseenChildren *telemetry.Gauge
 	staleChildren  *telemetry.Gauge
 }
@@ -392,14 +381,16 @@ func newAggMetrics(reg *telemetry.Registry, level int) aggMetrics {
 		pushSeconds: reg.HistogramVec("capmaestro_controlplane_level_push_seconds",
 			"Latency of one aggregator budget-push wave, per hierarchy level.",
 			phaseBuckets, "level").With(lvl),
-		gatherErrors: reg.CounterVec("capmaestro_controlplane_level_gather_errors_total",
-			"Child gathers that failed or returned invalid summaries, per hierarchy level.",
-			"level").With(lvl),
-		applyErrors: reg.CounterVec("capmaestro_controlplane_level_apply_errors_total",
-			"Child budget pushes that failed, per hierarchy level.", "level").With(lvl),
-		heldPushes: reg.CounterVec("capmaestro_controlplane_level_held_pushes_total",
-			"Child budget pushes withheld at an aggregator tier (never-gathered or stale children).",
-			"level").With(lvl),
+		tier: tierMetrics{
+			gatherErrors: reg.CounterVec("capmaestro_controlplane_level_gather_errors_total",
+				"Child gathers that failed or returned invalid summaries, per hierarchy level.",
+				"level").With(lvl),
+			applyErrors: reg.CounterVec("capmaestro_controlplane_level_apply_errors_total",
+				"Child budget pushes that failed, per hierarchy level.", "level").With(lvl),
+			heldPushes: reg.CounterVec("capmaestro_controlplane_level_held_pushes_total",
+				"Child budget pushes withheld at an aggregator tier (never-gathered or stale children).",
+				"level").With(lvl),
+		},
 		unseenChildren: reg.GaugeVec("capmaestro_controlplane_level_unseen_children",
 			"Children at this hierarchy level from which no summary has ever been gathered.",
 			"level").With(lvl),

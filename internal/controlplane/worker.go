@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -55,10 +54,9 @@ type RackWorker struct {
 	applied   bool
 	prevAlloc *core.Allocation
 
-	log            *slog.Logger
-	met            rackMetrics
-	budgetLogDelta power.Watts
-	budgetSeen     bool
+	log        *slog.Logger
+	met        rackMetrics
+	budgetSeen bool
 
 	// dig is the worker's reusable self-digest scratch; GatherDigest
 	// rewrites it under mu each call and hands out a pointer, which the
@@ -82,9 +80,8 @@ func NewRackWorker(id string, tree *core.Node, policy core.Policy, sink BudgetSi
 	o := buildOptions(opts)
 	return &RackWorker{
 		id: id, policy: policy, engine: engine, sink: sink,
-		log:            o.log,
-		met:            newRackMetrics(o.reg, id),
-		budgetLogDelta: o.budgetLogDelta,
+		log: o.log,
+		met: newRackMetrics(o.reg, id),
 	}, nil
 }
 
@@ -165,7 +162,7 @@ func (w *RackWorker) ApplyBudget(ctx context.Context, b power.Watts) error {
 	w.engine.SetExplainSink(nil)
 	span.End(nil)
 	if w.log != nil && w.budgetSeen &&
-		math.Abs(float64(b-w.lastBudget)) > float64(w.budgetLogDelta) {
+		math.Abs(float64(b-w.lastBudget)) > float64(DefaultBudgetLogDelta) {
 		w.log.Info("rack budget changed", "rack", w.id,
 			"old", float64(w.lastBudget), "new", float64(b))
 	}
@@ -229,13 +226,17 @@ func (c LocalClient) ApplyBudget(ctx context.Context, b power.Watts) error {
 	return c.Worker.ApplyBudget(ctx, b)
 }
 
-// PeriodStats summarizes one room-worker control period.
+// PeriodStats summarizes one room-worker control period, or an
+// aggregator's last gather and apply passes (Aggregator.LastStats).
+// GatherErrors, ApplyErrors and RacksServed count the tier's direct
+// children: racks under a flat room or a level-1 aggregator, aggregators
+// above those.
 type PeriodStats struct {
 	GatherErrors int
 	ApplyErrors  int
-	// BudgetsHeld counts racks whose budget push was withheld this period:
-	// racks that have never reported a summary, and racks whose last
-	// summary is older than the staleness bound.
+	// BudgetsHeld counts children whose budget push was withheld: those
+	// that have never reported a summary, and those whose last summary is
+	// older than the staleness bound.
 	BudgetsHeld int
 	RacksServed int
 	Elapsed     time.Duration
@@ -248,17 +249,13 @@ type PeriodStats struct {
 	Fleet fleetobs.DigestSummary
 }
 
-// holdReason explains why a rack's budget push was withheld.
-type holdReason string
-
-const (
-	holdNeverSeen holdReason = "never-gathered"
-	holdStale     holdReason = "stale-summary"
-)
-
 // RoomWorker protects the upper levels of the power hierarchy. Its tree's
-// proxy nodes stand in for rack workers; the map connects proxy node IDs to
-// their transports.
+// proxy nodes stand in for rack workers (or aggregators); the map
+// connects proxy node IDs to their transports. It is the top face of a
+// control tier, whose gather, hold and push logic it shares with
+// Aggregator, and adds what only the room has: the contractual budget,
+// the period loop, the flight record, SLO evaluation and the fleet
+// rollup's publication.
 //
 // Failure semantics: a rack whose gather has never succeeded is never
 // pushed a budget — the room either excludes it from allocation (default)
@@ -266,48 +263,19 @@ const (
 // A rack that has reported before keeps its last summary when gathers
 // fail, so the room keeps accounting for its load; once its summary is
 // older than the staleness bound (WithStalenessBound) its budget pushes
-// are held too, freezing the rack at its last applied budget instead of
-// steering it from unboundedly stale state.
+// are held too, freezing the rack at its last acknowledged budget instead
+// of steering it from unboundedly stale state.
 type RoomWorker struct {
-	policy core.Policy
-	budget power.Watts
-	racks  map[string]RackClient
+	tier     *tier
+	budget   power.Watts
+	met      roomMetrics
+	recorder *flightrec.Recorder
+	slo      *slo.Tracker
+	history  *fleetobs.History // backs /debug/fleet/history; nil without digests
 
-	log            *slog.Logger
-	met            roomMetrics
-	budgetLogDelta power.Watts
-	stalenessBound int
-	failsafe       power.Watts
-	recorder       *flightrec.Recorder
-	slo            *slo.Tracker
-
-	// runMu serializes control periods and guards the tree and the
-	// per-period scratch below: only a running period writes proxy
-	// summaries and runs the allocation engine.
-	runMu   sync.Mutex
-	tree    *core.Node
-	proxies map[string]*core.Node
-	engine  *core.Allocator
-
-	// Fan-out machinery, reused every period so steady-state periods stay
-	// allocation-free in the control plane itself (the engine snapshot is
-	// the one remaining O(tree) allocation per period). gatherF and pushF
-	// are separate engines sharing one limiter, so the pipelined runner
-	// can overlap period k's push wave with period k+1's gather wave.
-	lim      limiter
-	gatherF  *fanEngine
-	pushF    *fanEngine
-	rackList []string // sorted rack IDs: deterministic wave order
-	fresh    map[string]core.Summary
-	failed   map[string]error
-	hold     map[string]holdReason
-
-	// Fleet observability rollup (see internal/fleetobs): dm folds the
-	// gather wave's per-rack digests into one fleet digest per period.
-	// digests gates the whole plane; history backs /debug/fleet/history.
-	digests bool
-	dm      digestMerger
-	history *fleetobs.History
+	// periodMu serializes control periods: only a running period drives
+	// the tier's gather, allocate and push passes.
+	periodMu sync.Mutex
 
 	// mu guards the observable state below and is never held across rack
 	// RPCs, so Healthy, LastStats, and LastAllocation return immediately
@@ -316,11 +284,6 @@ type RoomWorker struct {
 	lastAlloc   *core.Allocation
 	lastStats   PeriodStats
 	periods     uint64
-	rackDown    map[string]bool        // racks whose last gather failed
-	rackStale   map[string]int         // consecutive stale periods per rack
-	rackSeen    map[string]bool        // racks with at least one good gather
-	rackHeld    map[string]bool        // racks whose pushes are being held
-	rackBudgets map[string]power.Watts // last budget pushed per rack
 	pubFleet    fleetobs.StatDigest    // latest merged fleet digest
 	curFleetSum fleetobs.DigestSummary // its headline numbers, for PeriodStats
 	fleetWaves  uint64                 // rollups performed (0 = none yet)
@@ -332,89 +295,26 @@ type RoomWorker struct {
 // keys in racks. budget is the contractual budget for this tree; zero uses
 // the tree constraint.
 func NewRoomWorker(tree *core.Node, budget power.Watts, policy core.Policy, racks map[string]RackClient, opts ...Option) (*RoomWorker, error) {
-	if tree == nil {
-		return nil, errors.New("controlplane: nil room tree")
-	}
-	if err := tree.Validate(); err != nil {
-		return nil, fmt.Errorf("controlplane: room tree: %w", err)
-	}
-	proxies := make(map[string]*core.Node)
-	tree.Walk(func(n *core.Node) {
-		if n.Proxy != nil {
-			proxies[n.ID] = n
-		}
-	})
-	if len(proxies) == 0 {
-		return nil, errors.New("controlplane: room tree has no rack proxies")
-	}
-	for id := range racks {
-		if _, ok := proxies[id]; !ok {
-			return nil, fmt.Errorf("controlplane: rack client %q has no proxy node", id)
-		}
-	}
-	for id := range proxies {
-		if _, ok := racks[id]; !ok {
-			return nil, fmt.Errorf("controlplane: proxy node %q has no rack client", id)
-		}
-	}
-	engine, err := core.NewAllocator(tree)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: room tree: %w", err)
-	}
 	o := buildOptions(opts)
-	rackIDs := make([]string, 0, len(racks))
-	for id := range racks {
-		rackIDs = append(rackIDs, id)
+	t, err := newTier("room", "rack", tree, policy, racks, &o, o.log)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(rackIDs)
-	lim := newLimiter(o.rpcConcurrency)
 	w := &RoomWorker{
-		tree:           tree,
-		budget:         budget,
-		policy:         policy,
-		racks:          racks,
-		proxies:        proxies,
-		engine:         engine,
-		lim:            lim,
-		gatherF:        newFanEngine(lim, len(racks)),
-		pushF:          newFanEngine(lim, len(racks)),
-		rackList:       rackIDs,
-		fresh:          make(map[string]core.Summary, len(racks)),
-		failed:         make(map[string]error, len(racks)),
-		hold:           make(map[string]holdReason, len(racks)),
-		log:            o.log,
-		met:            newRoomMetrics(o.reg, rackIDs),
-		budgetLogDelta: o.budgetLogDelta,
-		stalenessBound: o.stalenessBound,
-		failsafe:       o.failsafeBudget,
-		recorder:       o.recorder,
-		slo:            o.slo,
-		rackDown:       make(map[string]bool, len(racks)),
-		rackStale:      make(map[string]int, len(racks)),
-		rackSeen:       make(map[string]bool, len(racks)),
-		rackHeld:       make(map[string]bool, len(racks)),
-		rackBudgets:    make(map[string]power.Watts, len(racks)),
-		digests:        o.digests == nil || *o.digests,
+		tier:     t,
+		budget:   budget,
+		met:      newRoomMetrics(o.reg, racks),
+		recorder: o.recorder,
+		slo:      o.slo,
 	}
-	if w.digests {
+	t.met = w.met.tier
+	if t.digests {
 		w.history = fleetobs.NewHistory(o.fleetHistory)
-		w.gatherF.digests = true
 	}
 	w.met.racks.Set(float64(len(racks)))
 	w.met.budget.Set(float64(budget))
 	w.met.unseenRacks.Set(float64(len(racks)))
 	return w, nil
-}
-
-// failsafeSummary is the conservative stand-in for a rack that has never
-// reported: the room reserves exactly b watts for it — floor (CapMin) and
-// ceiling (Constraint) — without pretending to know anything about its
-// load or priorities.
-func failsafeSummary(b power.Watts) core.Summary {
-	s := core.NewSummary()
-	s.SetLevel(0, b, b, b)
-	s.Constraint = b
-	return s
 }
 
 // RunPeriod executes one full control period: gather summaries from all
@@ -430,15 +330,15 @@ func failsafeSummary(b power.Watts) core.Summary {
 // with ctx's error without recording rack failures — a shutdown is not a
 // rack outage.
 func (w *RoomWorker) RunPeriod(ctx context.Context) (*core.Allocation, PeriodStats, error) {
-	w.runMu.Lock()
-	defer w.runMu.Unlock()
+	w.periodMu.Lock()
+	defer w.periodMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, PeriodStats{}, err
 	}
 	start := time.Now()
-	stats := PeriodStats{RacksServed: len(w.racks)}
-	if w.log != nil {
-		w.log.Debug("control period start", "racks", len(w.racks))
+	stats := PeriodStats{RacksServed: len(w.tier.children)}
+	if log := w.tier.log; log != nil {
+		log.Debug("control period start", "racks", len(w.tier.children))
 	}
 
 	// With a flight recorder attached, the whole period runs under one
@@ -451,13 +351,13 @@ func (w *RoomWorker) RunPeriod(ctx context.Context) (*core.Allocation, PeriodSta
 	}
 	root := pt.StartSpan("period", "room", "")
 
-	if err := w.gatherPhase(ctx, pt, root.ID(), &stats); err != nil {
+	if err := w.gatherPhase(ctx, pt, root.ID()); err != nil {
 		// Cancelled mid-gather (typically clean shutdown): the per-rack
 		// context errors carry no signal about rack health, and no period
 		// record is written — a shutdown is not a period.
 		return nil, stats, err
 	}
-	alloc := w.allocPhase(pt, root.ID())
+	alloc := w.allocPhase(pt, root.ID(), &stats)
 	w.pushPhase(ctx, pt, root.ID(), alloc, &stats)
 
 	stats.Elapsed = time.Since(start)
@@ -465,123 +365,51 @@ func (w *RoomWorker) RunPeriod(ctx context.Context) (*core.Allocation, PeriodSta
 	return alloc, stats, nil
 }
 
-// gatherPhase runs one gather wave over all racks — bounded concurrency,
-// batched where the transport allows, no lock held across RPCs — and
-// sorts the outcomes into the reused fresh/failed scratch maps. It
-// returns ctx's error when the wave was cancelled; gather metrics are
-// only recorded for completed waves.
-func (w *RoomWorker) gatherPhase(ctx context.Context, pt *flightrec.PeriodTrace, rootID string, stats *PeriodStats) error {
+// gatherPhase runs the tier's gather wave over all racks. It returns
+// ctx's error when the wave was cancelled, leaving the outcomes
+// uncommitted; gather metrics are only recorded for completed waves.
+func (w *RoomWorker) gatherPhase(ctx context.Context, pt *flightrec.PeriodTrace, rootID string) error {
 	start := time.Now()
 	gatherSpan := pt.StartSpan("gather", "room", rootID)
-	e := w.gatherF
-	e.reset()
-	for _, id := range w.rackList {
-		e.add(id, w.racks[id])
-	}
-	e.gatherWave(ctx, pt, gatherSpan.ID())
+	w.tier.gather(ctx, pt, gatherSpan.ID())
 	gatherSpan.End(nil)
-	clear(w.fresh)
-	clear(w.failed)
-	for i := range e.calls {
-		c := &e.calls[i]
-		if c.err != nil {
-			w.failed[c.id] = c.err
-		} else {
-			w.fresh[c.id] = c.summary
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	stats.GatherErrors = len(w.failed)
 	w.met.gatherSeconds.ObserveSince(start)
-	w.met.gatherErrors.Add(float64(stats.GatherErrors))
 	return nil
 }
 
-// allocPhase commits the gather outcomes (filling the reused hold map),
-// folds the fleet digest, installs fresh summaries into the proxies, and
-// runs the budgeting phase on the persistent engine. The allocate phase
-// histogram and span time all of it, so the three phases cover the
-// period. It touches the tree and engine, so in pipelined mode it must
-// not run while a previous period's push wave is still in flight (the
-// runner joins the push first).
-func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string) *core.Allocation {
+// allocPhase commits the gather outcomes into the tier (counting the
+// period's gather errors), folds and publishes the fleet digest, and runs
+// the budgeting phase on the persistent engine. The allocate phase histogram and span time all of
+// it, so the three phases cover the period. It touches the tree and
+// engine, so in pipelined mode it must not run while a previous period's
+// push wave is still in flight (the runner joins the push first).
+func (w *RoomWorker) allocPhase(pt *flightrec.PeriodTrace, rootID string, stats *PeriodStats) *core.Allocation {
 	allocStart := time.Now()
 	allocSpan := pt.StartSpan("allocate", "room", rootID)
-	w.commitGather(w.fresh, w.failed)
-	w.buildFleetDigest()
-
-	// Failed racks keep their previous summary; never-seen racks keep
-	// their construction-time summary or the failsafe reservation.
-	for id, s := range w.fresh {
-		*w.proxies[id].Proxy = s
+	t := w.tier
+	t.runMu.Lock()
+	n := t.commit()
+	stats.GatherErrors = n.errors
+	w.met.unseenRacks.Set(float64(n.unseen))
+	if t.digests {
+		w.publishFleet(t.foldDigest(0))
 	}
-	if w.failsafe > 0 {
-		for id, reason := range w.hold {
-			if reason == holdNeverSeen {
-				*w.proxies[id].Proxy = failsafeSummary(w.failsafe)
-			}
-		}
-	}
-
-	w.engine.SetExplainSink(pt.ExplainSink())
-	w.engine.Run(w.budget, w.policy)
-	w.engine.SetExplainSink(nil)
-	alloc := w.engine.Snapshot()
-	w.noteRackBudgets(alloc)
+	alloc := t.allocate(pt, w.budget)
+	t.runMu.Unlock()
 	allocSpan.End(nil)
 	w.met.allocateSeconds.ObserveSince(allocStart)
 	return alloc
 }
 
-// buildFleetDigest folds the gather wave's per-rack digests into the
-// period's fleet rollup and publishes it. It runs from allocPhase — after
-// commitGather, between gather waves — so reading the gather engine's
-// call slots is race-free even in pipelined mode. Racks whose digest did
-// not travel (digest-less transports) are synthesized from their gathered
-// summary and last pushed budget, so the rollup stays watt-for-watt
-// complete either way; racks that failed this period's gather are counted
-// as gather errors and, when riding stale summaries, flagged as stale
-// outliers rather than summed from stale watts.
-func (w *RoomWorker) buildFleetDigest() {
-	if !w.digests {
-		return
-	}
-	w.dm.reset()
-	var own fleetobs.LevelStats
-	own.Workers = len(w.racks)
+// publishFleet publishes the period's fleet rollup — the tier's folded
+// digest and the room's own level row — to FleetReport, the history ring
+// and the fleet gauges.
+func (w *RoomWorker) publishFleet(fleet *fleetobs.StatDigest, own fleetobs.LevelStats) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := range w.gatherF.calls {
-		c := &w.gatherF.calls[i]
-		if c.err != nil {
-			own.GatherErrors++
-			continue
-		}
-		b, haveB := w.rackBudgets[c.id]
-		w.dm.note(c.id, c.digest, &c.summary, b, haveB)
-		own.GatherLatency.Observe(fleetobs.LatencyBounds, c.elapsed.Seconds())
-	}
-	own.Held = len(w.hold)
-	for id, n := range w.rackStale {
-		if n > 0 && w.rackSeen[id] {
-			own.Stale++
-		}
-	}
-	fleet := w.dm.fold(own)
-	// Stale racks are an observer-side judgment — a rack never reports
-	// itself stale — so their outlier entries are added after the fold.
-	for id, n := range w.rackStale {
-		if n > 0 && w.rackSeen[id] {
-			fleet.AddOutlier(fleetobs.Outlier{
-				Rack:         id,
-				Reason:       fleetobs.ReasonStale,
-				Score:        2 + float64(n),
-				StalePeriods: n,
-			})
-		}
-	}
 	w.pubFleet.CopyFrom(fleet)
 	w.curFleetSum = fleet.Summary()
 	w.fleetWaves++
@@ -607,41 +435,26 @@ func (w *RoomWorker) buildFleetDigest() {
 	w.met.fleetOutliers.Set(float64(len(fleet.Outliers)))
 }
 
-// pushPhase runs one push wave — bounded, batched, no lock across RPCs —
-// skipping racks held by the last commitGather. In pipelined mode it runs
-// concurrently with the next period's gatherPhase; it reads the hold map
-// and alloc filled by its own period's allocPhase, touched by nothing
-// else until the wave is joined.
+// pushPhase runs the tier's push wave for alloc, skipping racks held by
+// the last commit. In pipelined mode it runs concurrently with the next
+// period's gatherPhase, which leaves the holds and engine it reads alone
+// until the runner joins the wave.
 func (w *RoomWorker) pushPhase(ctx context.Context, pt *flightrec.PeriodTrace, rootID string, alloc *core.Allocation, stats *PeriodStats) {
 	start := time.Now()
 	pushSpan := pt.StartSpan("push", "room", rootID)
-	e := w.pushF
-	e.reset()
-	for _, id := range w.rackList {
-		c := e.add(id, w.racks[id])
-		if _, held := w.hold[id]; held {
-			c.skip = true
-			stats.BudgetsHeld++
-			w.met.heldPushes.Inc()
-			continue
-		}
-		c.budget = alloc.NodeBudgets[id]
-	}
-	e.pushWave(ctx, pt, pushSpan.ID())
-	for i := range e.calls {
-		if c := &e.calls[i]; !c.skip && c.err != nil {
-			stats.ApplyErrors++
-		}
-	}
+	t := w.tier
+	t.runMu.Lock()
+	stats.BudgetsHeld = t.preparePush(alloc)
+	t.runMu.Unlock()
+	stats.ApplyErrors, _ = t.push(ctx, pt, pushSpan.ID())
 	pushSpan.End(nil)
 	w.met.pushSeconds.ObserveSince(start)
-	w.met.applyErrors.Add(float64(stats.ApplyErrors))
 }
 
 // finishPeriod publishes a completed period: stats commit, trace record,
 // SLO evaluation, and end-of-period logging.
 func (w *RoomWorker) finishPeriod(pt *flightrec.PeriodTrace, root *flightrec.ActiveSpan, start time.Time, alloc *core.Allocation, stats PeriodStats) {
-	if w.digests {
+	if w.tier.digests {
 		// The fleet summary was built by this period's allocPhase; in
 		// pipelined mode the next allocPhase cannot have run yet (it waits
 		// for this finish), so curFleetSum is still this period's.
@@ -654,13 +467,13 @@ func (w *RoomWorker) finishPeriod(pt *flightrec.PeriodTrace, root *flightrec.Act
 	w.recordPeriod(pt, start, stats, alloc, nil)
 	w.evalSLO()
 	w.met.budget.Set(float64(w.budget))
-	if w.log != nil {
+	if log := w.tier.log; log != nil {
 		if stats.GatherErrors > 0 || stats.ApplyErrors > 0 || stats.BudgetsHeld > 0 {
-			w.log.Warn("control period end", "elapsed", stats.Elapsed,
+			log.Warn("control period end", "elapsed", stats.Elapsed,
 				"gather_errors", stats.GatherErrors, "apply_errors", stats.ApplyErrors,
 				"budgets_held", stats.BudgetsHeld)
 		} else {
-			w.log.Debug("control period end", "elapsed", stats.Elapsed)
+			log.Debug("control period end", "elapsed", stats.Elapsed)
 		}
 	}
 }
@@ -695,8 +508,8 @@ type pendingPeriod struct {
 // concurrently with the next gather. A period whose gather is cancelled
 // is never reported; the period whose push was already in flight is.
 func (w *RoomWorker) RunPipelined(ctx context.Context, count int, onPeriod func(*core.Allocation, PeriodStats, error)) error {
-	w.runMu.Lock()
-	defer w.runMu.Unlock()
+	w.periodMu.Lock()
+	defer w.periodMu.Unlock()
 	var pend *pendingPeriod
 	finish := func(p *pendingPeriod) {
 		p.stats.Elapsed = time.Since(p.start)
@@ -715,14 +528,14 @@ func (w *RoomWorker) RunPipelined(ctx context.Context, count int, onPeriod func(
 			return err
 		}
 		start := time.Now()
-		stats := PeriodStats{RacksServed: len(w.racks)}
+		stats := PeriodStats{RacksServed: len(w.tier.children)}
 		var pt *flightrec.PeriodTrace
 		if w.recorder.Enabled() {
 			pt = flightrec.NewPeriodTrace()
 		}
 		root := pt.StartSpan("period", "room", "")
-		if w.log != nil {
-			w.log.Debug("control period start", "racks", len(w.racks), "pipelined", true)
+		if log := w.tier.log; log != nil {
+			log.Debug("control period start", "racks", len(w.tier.children), "pipelined", true)
 		}
 
 		// Launch the previous period's push wave concurrently with this
@@ -740,10 +553,10 @@ func (w *RoomWorker) RunPipelined(ctx context.Context, count int, onPeriod func(
 		}
 
 		gatherStart := time.Now()
-		gerr := w.gatherPhase(ctx, pt, root.ID(), &stats)
+		gerr := w.gatherPhase(ctx, pt, root.ID())
 		gatherElapsed := time.Since(gatherStart)
 
-		// Join the overlapped push before touching the hold map or the
+		// Join the overlapped push before touching the holds or the
 		// engine: allocation k must not race push k-1.
 		if pend != nil {
 			<-pend.done
@@ -761,7 +574,7 @@ func (w *RoomWorker) RunPipelined(ctx context.Context, count int, onPeriod func(
 			return gerr
 		}
 
-		alloc := w.allocPhase(pt, root.ID())
+		alloc := w.allocPhase(pt, root.ID(), &stats)
 		pend = &pendingPeriod{start: start, pt: pt, root: root, alloc: alloc, stats: stats}
 	}
 	// Drain the last period's push synchronously.
@@ -770,66 +583,6 @@ func (w *RoomWorker) RunPipelined(ctx context.Context, count int, onPeriod func(
 		finish(pend)
 	}
 	return nil
-}
-
-// commitGather records the period's gather outcomes under mu — staleness
-// counters, down/recovered and held/resumed transitions — and refills the
-// reused hold map with the racks whose budget pushes are held this
-// period, keyed by reason.
-func (w *RoomWorker) commitGather(fresh map[string]core.Summary, failed map[string]error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for id, err := range failed {
-		w.rackStale[id]++
-		w.met.staleByRack[id].Set(float64(w.rackStale[id]))
-		if !w.rackDown[id] {
-			w.rackDown[id] = true
-			if w.log != nil {
-				w.log.Warn("rack gather failed", "rack", id, "err", err)
-			}
-		}
-	}
-	for id := range fresh {
-		w.rackSeen[id] = true
-		if w.rackDown[id] {
-			w.rackDown[id] = false
-			if w.log != nil {
-				w.log.Info("rack recovered", "rack", id, "stale_periods", w.rackStale[id])
-			}
-		}
-		if w.rackStale[id] != 0 {
-			w.rackStale[id] = 0
-			w.met.staleByRack[id].Set(0)
-		}
-	}
-	hold := w.hold
-	clear(hold)
-	unseen := 0
-	for id := range w.racks {
-		switch {
-		case !w.rackSeen[id]:
-			hold[id] = holdNeverSeen
-			unseen++
-		case w.stalenessBound > 0 && w.rackStale[id] > w.stalenessBound:
-			hold[id] = holdStale
-		}
-	}
-	w.met.unseenRacks.Set(float64(unseen))
-	for id := range w.racks {
-		_, held := hold[id]
-		switch {
-		case held && !w.rackHeld[id]:
-			w.rackHeld[id] = true
-			if w.log != nil {
-				w.log.Warn("rack budget held", "rack", id, "reason", string(hold[id]))
-			}
-		case !held && w.rackHeld[id]:
-			w.rackHeld[id] = false
-			if w.log != nil {
-				w.log.Info("rack budget pushes resumed", "rack", id)
-			}
-		}
-	}
 }
 
 // commitPeriod publishes the period's results under mu. It runs on every
@@ -893,34 +646,18 @@ func (w *RoomWorker) evalSLO() {
 	if w.slo == nil {
 		return
 	}
-	w.mu.Lock()
-	samples := make([]slo.Sample, 0, len(w.racks))
-	for id := range w.racks {
+	t := w.tier
+	t.mu.Lock()
+	samples := make([]slo.Sample, 0, len(t.children))
+	for i := range t.children {
 		samples = append(samples, slo.Sample{
 			Signal: slo.SignalRackStalePeriods,
-			Label:  id,
-			Value:  float64(w.rackStale[id]),
+			Label:  t.children[i].id,
+			Value:  float64(t.children[i].stale),
 		})
 	}
-	w.mu.Unlock()
+	t.mu.Unlock()
 	w.slo.EvalPeriod(w.slo.Uptime(), samples...)
-}
-
-// noteRackBudgets updates per-rack budget gauges and logs changes larger
-// than the configured delta.
-func (w *RoomWorker) noteRackBudgets(alloc *core.Allocation) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for id := range w.racks {
-		b := alloc.NodeBudgets[id]
-		prev, seen := w.rackBudgets[id]
-		if w.log != nil && seen && math.Abs(float64(b-prev)) > float64(w.budgetLogDelta) {
-			w.log.Info("rack budget changed", "rack", id,
-				"old", float64(prev), "new", float64(b))
-		}
-		w.rackBudgets[id] = b
-		w.met.budgetByRack[id].Set(float64(b))
-	}
 }
 
 // Run executes control periods on the given cadence until the context is
@@ -970,7 +707,7 @@ func (w *RoomWorker) LastStats() PeriodStats {
 func (w *RoomWorker) FleetReport() (fleetobs.Report, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.digests || w.fleetWaves == 0 {
+	if !w.tier.digests || w.fleetWaves == 0 {
 		return fleetobs.Report{}, false
 	}
 	return fleetobs.Report{
@@ -997,22 +734,26 @@ type RackFreshness struct {
 	EverGathered bool `json:"ever_gathered"`
 	// Held reports whether the rack's budget pushes are currently held.
 	Held bool `json:"held"`
-	// LastBudget is the budget most recently pushed to the rack.
+	// LastBudget is the budget the rack most recently acknowledged: the
+	// last push that succeeded. Held racks and failed pushes leave it
+	// unchanged, so it is the budget the rack is still enforcing.
 	LastBudget power.Watts `json:"last_budget_watts"`
 }
 
 // RackFreshness returns per-rack freshness detail for health reporting.
 // It never blocks on in-flight rack RPCs.
 func (w *RoomWorker) RackFreshness() map[string]RackFreshness {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[string]RackFreshness, len(w.racks))
-	for id := range w.racks {
-		out[id] = RackFreshness{
-			StalePeriods: w.rackStale[id],
-			EverGathered: w.rackSeen[id],
-			Held:         w.rackHeld[id],
-			LastBudget:   w.rackBudgets[id],
+	t := w.tier
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[string]RackFreshness, len(t.children))
+	for i := range t.children {
+		ch := &t.children[i]
+		out[ch.id] = RackFreshness{
+			StalePeriods: ch.stale,
+			EverGathered: ch.seen,
+			Held:         ch.held,
+			LastBudget:   ch.acked,
 		}
 	}
 	return out
@@ -1045,16 +786,20 @@ func (w *RoomWorker) Healthy() error {
 // It never blocks on in-flight rack RPCs.
 func (w *RoomWorker) Degraded() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.periods == 0 {
+	periods := w.periods
+	w.mu.Unlock()
+	if periods == 0 {
 		return nil
 	}
+	t := w.tier
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	stale, held := 0, 0
-	for id := range w.racks {
-		if w.rackStale[id] > 0 && w.rackSeen[id] {
+	for i := range t.children {
+		if t.children[i].isStale() {
 			stale++
 		}
-		if w.rackHeld[id] {
+		if t.children[i].held {
 			held++
 		}
 	}
